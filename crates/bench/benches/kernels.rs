@@ -29,6 +29,21 @@ fn bench_crypto(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_ecdsa(c: &mut Criterion) {
+    use parole_crypto::secp256k1::SecretKey;
+
+    let mut group = c.benchmark_group("ecdsa");
+    let sk = SecretKey::from_seed(7);
+    let pk = sk.public_key();
+    let digest = keccak256(b"kernel bench").into_bytes();
+    let sig = sk.sign(&digest);
+    group.bench_function("sign", |b| b.iter(|| sk.sign(black_box(&digest))));
+    group.bench_function("verify", |b| {
+        b.iter(|| assert!(pk.verify(black_box(&digest), black_box(&sig))))
+    });
+    group.finish();
+}
+
 fn bench_ovm(c: &mut Criterion) {
     let mut group = c.benchmark_group("ovm");
     for n in [10usize, 50] {
@@ -392,7 +407,7 @@ criterion_group!(
         .sample_size(10)
         .measurement_time(std::time::Duration::from_secs(3))
         .warm_up_time(std::time::Duration::from_secs(1));
-    targets = bench_crypto, bench_ovm, bench_state_root, bench_nft_flush, bench_mempool, bench_calldata, bench_reorder_env, bench_parallel_exec, bench_traffic, bench_dqn
+    targets = bench_crypto, bench_ecdsa, bench_ovm, bench_state_root, bench_nft_flush, bench_mempool, bench_calldata, bench_reorder_env, bench_parallel_exec, bench_traffic, bench_dqn
 );
 // Hand-rolled `criterion_main!`: identical dispatch, plus the telemetry
 // panic hook so an assertion inside a benchmark still dumps the armed

@@ -258,9 +258,11 @@ pub struct TxAuth {
 /// A signed (or simulation-unsigned) NFT transaction.
 ///
 /// Large-scale experiments construct unsigned transactions via
-/// [`NftTransaction::simple`] because signing thousands of transactions with
-/// the from-scratch ECDSA dominates runtime without changing any measured
-/// quantity; protocol-level tests use [`NftTransaction::signed`].
+/// [`NftTransaction::simple`]: a signed transaction pays an ECDSA
+/// verification, many times the cost of an unsigned execute, every time it
+/// is executed (and verifiers re-execute it several times), without
+/// changing any measured quantity. Protocol-level tests use
+/// [`NftTransaction::signed`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NftTransaction {
     /// The submitting user (`U_k`).
